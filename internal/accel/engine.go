@@ -170,7 +170,7 @@ func newKernelEngine(desc Description, est perf.Estimate, steps int) (*Engine, e
 		host:       host,
 		jpo:        joulesPerOption(est),
 		perOption:  perOpt,
-		perQuad:    quadGroupCounters(perOpt),
+		perQuad:    quadGroupCounters(perOpt, 4),
 		spo:        secondsPerOption(est),
 		devPlan:    newDevCommandPlan(perOpt),
 	}, nil
@@ -196,64 +196,52 @@ func newHostEngine(desc Description, est perf.Estimate, steps int) (*Engine, err
 		host:      host,
 		jpo:       joulesPerOption(est),
 		perOption: perOpt,
-		perQuad:   quadGroupCounters(perOpt),
+		perQuad:   quadGroupCounters(perOpt, 4),
 		spo:       secondsPerOption(est),
 		devPlan:   newDevCommandPlan(perOpt),
 	}, nil
 }
 
 // verifyQuadParity extends the construction-time parity guarantee to
-// the interleaved batch path: the quad sweep — straight and cache-tiled
-// — must reproduce the scalar host lattice bit for bit on the probe
-// chain before the engine is allowed to serve batches through it. Depth
-// is capped like the kernel probe; the quad kernels have no
-// depth-dependent branches, so a few hundred steps exercise every path.
+// the interleaved batch path: the quad sweep must reproduce the scalar
+// host lattice bit for bit on the probe chain before the engine is
+// allowed to serve batches through it. Depth is capped like the kernel
+// probe; the quad kernels have no depth-dependent branches, so a few
+// hundred steps exercise every path.
 func verifyQuadParity(name string, steps int) error {
-	depth := steps
-	if depth > maxProbeSteps {
-		depth = maxProbeSteps
-	}
+	depth := min(steps, maxProbeSteps)
 	ref, err := lattice.NewEngine(depth)
 	if err != nil {
 		return fmt.Errorf("accel: %s: quad probe: %w", name, err)
 	}
 	chain := probeChain()
-	want := make([]float64, len(chain))
+	qp := ref.NewQuadPlan()
+	if err := qp.Load(chain); err != nil {
+		return fmt.Errorf("accel: %s: quad probe: %w", name, err)
+	}
+	got := qp.Exec()
 	for i, o := range chain {
-		if want[i], err = ref.Price(o); err != nil {
+		want, err := ref.Price(o)
+		if err != nil {
 			return fmt.Errorf("accel: %s: quad probe reference: %w", name, err)
 		}
-	}
-	qp := ref.NewQuadPlan()
-	for _, tiled := range []bool{false, true} {
-		if err := qp.Load(chain); err != nil {
-			return fmt.Errorf("accel: %s: quad probe: %w", name, err)
-		}
-		var got [4]float64
-		mode := "straight"
-		if tiled {
-			mode = "tiled"
-			got = qp.ExecTiled()
-		} else {
-			got = qp.Exec()
-		}
-		for i := range chain {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				return fmt.Errorf("accel: %s: quad/scalar parity violation (%s sweep, probe depth %d, option %d): quad %v (%#x) vs scalar %v (%#x)",
-					name, mode, depth, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-			}
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			return fmt.Errorf("accel: %s: quad/scalar parity violation (probe depth %d, option %d): quad %v (%#x) vs scalar %v (%#x)",
+				name, depth, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 		}
 	}
 	return nil
 }
 
-// quadGroupCounters models one interleaved quad group from the
-// per-option activity: the shared sweep launches one kernel over one
-// set of work-items and crosses each barrier once for all four lanes
-// (control costs ×1), while every node touches four lane values and
-// performs four lanes of arithmetic (data costs ×4). The result
-// readback is one transfer carrying four prices.
-func quadGroupCounters(per opencl.Counters) opencl.Counters {
+// quadGroupCounters models one interleaved quad group carrying `lanes`
+// live options from the per-option activity: the shared sweep launches
+// one kernel over one set of work-items and crosses each barrier once
+// for all lanes (control costs ×1), while every node touches one value
+// and performs one lane of arithmetic per live lane (data costs
+// ×lanes). The result readback is one transfer carrying the lanes'
+// prices. A one-lane group costs exactly per.
+func quadGroupCounters(per opencl.Counters, lanes int) opencl.Counters {
+	l := int64(lanes)
 	return opencl.Counters{
 		Kernels:        per.Kernels,
 		KernelLaunches: per.KernelLaunches,
@@ -262,12 +250,12 @@ func quadGroupCounters(per opencl.Counters) opencl.Counters {
 		Barriers:       per.Barriers,
 		HostReads:      per.HostReads,
 		HostTransfers:  per.HostTransfers,
-		GlobalReads:    4 * per.GlobalReads,
-		GlobalWrites:   4 * per.GlobalWrites,
-		LocalReads:     4 * per.LocalReads,
-		LocalWrites:    4 * per.LocalWrites,
-		Flops:          4 * per.Flops,
-		HostWrites:     4 * per.HostWrites,
+		GlobalReads:    l * per.GlobalReads,
+		GlobalWrites:   l * per.GlobalWrites,
+		LocalReads:     l * per.LocalReads,
+		LocalWrites:    l * per.LocalWrites,
+		Flops:          l * per.Flops,
+		HostWrites:     l * per.HostWrites,
 	}
 }
 
@@ -363,7 +351,8 @@ func (e *Engine) PriceTraced(o option.Option) (float64, DeviceTrace, error) {
 // batch — the batch is one modelled device submission. The host lattice
 // routes the batch through quad-interleaved sweeps, so the accounting
 // mirrors the dispatch: full groups of four book one shared-sweep quad
-// group, the remainder books scalar per-option activity.
+// group, and the trailing partial group books a group of its live
+// lanes.
 func (e *Engine) PriceBatch(opts []option.Option, workers int) ([]float64, error) {
 	if err := e.faultCheck(); err != nil {
 		return nil, err
@@ -418,17 +407,17 @@ func (e *Engine) account(n int) float64 {
 }
 
 // accountBatch books n options priced through the quad-interleaved
-// batch path: full groups of four accumulate perQuad, the scalar
-// remainder perOption. The device clock and modelled energy remain
-// per-option — they model the paper's measured device, which the
-// interleaving does not change.
+// batch path: full groups of four accumulate perQuad, a trailing group
+// of one to three lanes its own partial group. The device clock and
+// modelled energy remain per-option — they model the paper's measured
+// device, which the interleaving does not change.
 func (e *Engine) accountBatch(n int) {
 	var add opencl.Counters
 	for i := 0; i < n/4; i++ {
 		add.Add(e.perQuad)
 	}
-	for i := 0; i < n%4; i++ {
-		add.Add(e.perOption)
+	if r := n % 4; r > 0 {
+		add.Add(quadGroupCounters(e.perOption, r))
 	}
 	e.book(add, n)
 }

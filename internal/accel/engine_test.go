@@ -88,8 +88,9 @@ func TestEngineAccounting(t *testing.T) {
 
 // TestQuadBatchAccounting: a batch routes through quad-interleaved
 // sweeps, so its modelled activity must book one shared-sweep group per
-// four options plus scalar remainder — control costs paid once per
-// group, data costs per lane.
+// four options plus one partial group for the remainder — control costs
+// paid once per group, data costs per lane. A one-lane remainder costs
+// exactly one option.
 func TestQuadBatchAccounting(t *testing.T) {
 	for _, p := range Platforms() {
 		d := p.Describe()
@@ -123,6 +124,23 @@ func TestQuadBatchAccounting(t *testing.T) {
 			if per := eng.perOption.Barriers; per <= 0 || eng.Counters().Barriers != 2*per {
 				t.Errorf("%s: batch barriers %d, want 2x per-option %d",
 					d.Name, eng.Counters().Barriers, per)
+			}
+		}
+		// Two- and three-lane remainders: one partial group each, its
+		// data costs per live lane, its control costs once.
+		want = eng.Counters()
+		for _, lanes := range []int{2, 3} {
+			if _, err := eng.PriceBatch(batch[:lanes], 1); err != nil {
+				t.Fatalf("%s: PriceBatch: %v", d.Name, err)
+			}
+			part := quadGroupCounters(eng.perOption, lanes)
+			want.Add(part)
+			if got := eng.Counters(); got != want {
+				t.Errorf("%s: %d-lane remainder booked %+v, want %+v", d.Name, lanes, got, want)
+			}
+			if part.Flops != int64(lanes)*eng.perOption.Flops || part.Barriers != eng.perOption.Barriers {
+				t.Errorf("%s: %d-lane group flops %d barriers %d, want %dx flops and 1x barriers of %+v",
+					d.Name, lanes, part.Flops, part.Barriers, lanes, eng.perOption)
 			}
 		}
 	}

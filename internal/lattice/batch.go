@@ -13,14 +13,16 @@ import (
 // same order. workers limits the number of goroutines; workers <= 0 uses
 // GOMAXPROCS.
 //
-// Work is dispatched in quad groups: four consecutive options share one
-// interleaved backward sweep (the QuadPlan), and a trailing group of
-// fewer than four falls back to the scalar plan. Each worker owns one
-// reusable QuadPlan and one reusable scalar Plan, so a steady batch
-// allocates nothing per group. Results are bit-identical to pricing each
-// option alone — the quad lanes run the scalar reference's exact
-// operation sequence — so parallelism and grouping never change the
-// numbers, only the wall clock.
+// Work is dispatched in quad groups: four options share one interleaved
+// backward sweep (the QuadPlan), and a trailing group of one to three
+// runs through the same plan with its unused lanes mirrored. Puts are
+// grouped ahead of the other contracts (see putsFirst) so put lanes
+// share sweeps and the zero-cone trim applies to mixed traffic too.
+// Each worker owns one reusable QuadPlan, so a steady batch allocates
+// nothing per group. Results are bit-identical to pricing each option
+// alone — the quad lanes run the scalar reference's exact operation
+// sequence and lanes are independent — so parallelism, grouping and
+// ordering never change the numbers, only the wall clock.
 //
 // On the first error the dispatcher stops handing out new groups and the
 // workers drain the remainder without pricing it: a doomed batch fails
@@ -37,6 +39,7 @@ func (e *Engine) priceBatch(opts []option.Option, workers int) ([]float64, int64
 	if len(opts) == 0 {
 		return out, 0, nil
 	}
+	order := putsFirst(opts)
 	groups := (len(opts) + 3) / 4
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -69,42 +72,27 @@ func (e *Engine) priceBatch(opts []option.Option, workers int) ([]float64, int64
 		go func() {
 			defer wg.Done()
 			var qp *QuadPlan
-			var sp *Plan
+			var lanes [4]option.Option
 			for g := range next {
 				if failed.Load() {
 					continue // drain doomed work without pricing it
 				}
 				priced.Add(1)
-				lo := g * 4
-				hi := lo + 4
-				if hi > len(opts) {
-					hi = len(opts)
+				idx := order[g*4 : min(g*4+4, len(order))]
+				for j, i := range idx {
+					lanes[j] = opts[i]
 				}
-				if hi-lo == 4 {
-					if qp == nil {
-						qp = e.NewQuadPlan()
-					}
-					lane, err := qp.load(opts[lo:hi])
-					if err != nil {
-						fail(fmt.Errorf("lattice: option %d: %w", lo+lane, err))
-						continue
-					}
-					res := qp.Exec()
-					copy(out[lo:hi], res[:])
+				if qp == nil {
+					qp = e.NewQuadPlan()
+				}
+				lane, err := qp.load(lanes[:len(idx)])
+				if err != nil {
+					fail(fmt.Errorf("lattice: option %d: %w", idx[lane], err))
 					continue
 				}
-				for i := lo; i < hi; i++ {
-					var err error
-					if sp == nil {
-						sp, err = e.NewPlan(opts[i])
-					} else {
-						err = sp.Reset(opts[i])
-					}
-					if err != nil {
-						fail(fmt.Errorf("lattice: option %d: %w", i, err))
-						break
-					}
-					out[i] = sp.Exec()
+				res := qp.Exec()
+				for j, i := range idx {
+					out[i] = res[j]
 				}
 			}
 		}()
@@ -124,4 +112,23 @@ feed:
 		return nil, priced.Load(), firstErr
 	}
 	return out, priced.Load(), nil
+}
+
+// putsFirst returns the indices of opts with every put ahead of every
+// other contract, each side in its original order. Cutting quads from
+// this order lets put lanes share sweeps, so a quad's zero-cone bound is
+// not lifted to the full triangle by a call lane.
+func putsFirst(opts []option.Option) []int {
+	order := make([]int, 0, len(opts))
+	for i, o := range opts {
+		if o.Right == option.Put {
+			order = append(order, i)
+		}
+	}
+	for i, o := range opts {
+		if o.Right != option.Put {
+			order = append(order, i)
+		}
+	}
+	return order
 }

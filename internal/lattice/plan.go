@@ -106,7 +106,7 @@ func (p *Plan) Params() option.LatticeParams { return p.lp }
 
 // Exec runs the backward sweep and returns the option value. The scalar
 // sweep is the repository's bit-parity reference: every fast path (the
-// quad kernel, the tiled variant, the platform engines) is asserted
+// quad kernel with its zero-cone trim, the platform engines) is asserted
 // bit-identical to it.
 func (p *Plan) Exec() float64 {
 	v, _ := p.ExecRetain(0)

@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"fmt"
+	"math"
 
 	"binopt/internal/option"
 )
@@ -17,9 +18,9 @@ import (
 // that across rights, styles, depths, precisions and leaf modes.
 //
 // A QuadPlan is single-shot scratch: Load derives the four lanes
-// straight into the working buffers, Exec (or ExecTiled) consumes them.
-// Reload before executing again. Not safe for concurrent use; the batch
-// pricer keeps one per worker.
+// straight into the working buffers, Exec consumes them. Reload before
+// executing again. Not safe for concurrent use; the batch pricer keeps
+// one per worker.
 type QuadPlan struct {
 	eng   *Engine
 	n     int
@@ -34,6 +35,10 @@ type QuadPlan struct {
 	// comparisons read.
 	steps  []float64
 	ladder []float64
+
+	// hi bounds the columns the sweep visits: every node at or above it
+	// is an exact +0 in every loaded lane (the zero cone, see coneStart).
+	hi int
 }
 
 // NewQuadPlan allocates quad scratch for the engine's depth.
@@ -66,6 +71,7 @@ func (q *QuadPlan) load(opts []option.Option) (int, error) {
 	e := q.eng
 	rnd := rounder(e.single)
 	n := q.n
+	q.hi = 0
 	for i, o := range opts {
 		lp, err := option.NewLatticeParams(o, n, e.param)
 		if err != nil {
@@ -86,6 +92,7 @@ func (q *QuadPlan) load(opts []option.Option) (int, error) {
 		for k := 0; k <= n; k++ {
 			q.steps[k*4+i] = rnd(payoff(o.Right, q.ladder[k*4+i], q.strike[i]))
 		}
+		q.hi = max(q.hi, q.coneStart(i))
 	}
 	q.lanes = len(opts)
 	// Unused lanes mirror lane 0 so the sweep stays branch-free over a
@@ -102,8 +109,38 @@ func (q *QuadPlan) load(opts []option.Option) (int, error) {
 	return 0, nil
 }
 
-// Exec runs the straight interleaved sweep and returns the four lane
-// values (entries past the loaded lane count mirror lane 0).
+// coneStart returns the first column of lane i's zero cone — the column
+// at and above which every leaf payoff is exactly +0 — or n+1 when the
+// lane cannot be trimmed. Every node of the cone equals +0 in the scalar
+// reference too, so the sweep may skip it:
+//
+//   - A node whose children are both +0 has continuation
+//     rnd(pu·0)+rnd(pd·0) = +0, given finite pu and pd.
+//   - For an American put the early-exercise test cannot fire there. The
+//     node's asset price is a chain of rnd(x·invD) steps from leaf k, so
+//     with invD ≥ 1 it stays ≥ leaf_k ≥ K (the leaf's payoff is +0), and
+//     the moneyness K−s ≤ 0 never beats the continuation +0.
+//
+// The skipped nodes' stale ladder values are never read, and the one
+// stale value that is — column hi, the up-neighbour of column hi−1 — still
+// holds its leaf payoff, +0. The bound is read from the loaded payoff
+// table itself, so neither leaf monotonicity nor the leaf mode matters.
+// Calls keep the full range, as does an American put whose rounded invD
+// is below 1 (possible outside CRR, where d > 1 can occur).
+func (q *QuadPlan) coneStart(i int) int {
+	finite := math.Abs(q.pu[i]) <= math.MaxFloat64 && math.Abs(q.pd[i]) <= math.MaxFloat64
+	if q.isCall[i] || !finite || (q.american[i] && !(q.invD[i] >= 1)) {
+		return q.n + 1
+	}
+	k := q.n
+	for k >= 0 && math.Float64bits(q.steps[k*4+i]) == 0 {
+		k--
+	}
+	return k + 1
+}
+
+// Exec runs the interleaved sweep and returns the four lane values
+// (entries past the loaded lane count mirror lane 0).
 func (q *QuadPlan) Exec() [4]float64 {
 	if q.eng.single {
 		q.sweepSingle()
@@ -116,12 +153,13 @@ func (q *QuadPlan) Exec() [4]float64 {
 }
 
 // sweepDouble is the double-precision interleaved backward sweep: each
-// level is one contiguous run over columns [0, t].
+// level is one contiguous run over columns [0, t], cut at the plan's
+// zero-cone bound.
 //
 //binopt:kernel quad interleaved backward sweep (double precision)
 func (q *QuadPlan) sweepDouble() {
 	for t := q.n - 1; t >= 0; t-- {
-		q.runDouble(q.steps, q.ladder, 0, t+1)
+		q.runDouble(min(t+1, q.hi))
 	}
 }
 
@@ -131,16 +169,14 @@ func (q *QuadPlan) sweepDouble() {
 //binopt:kernel quad interleaved backward sweep (single precision)
 func (q *QuadPlan) sweepSingle() {
 	for t := q.n - 1; t >= 0; t-- {
-		q.runSingle(q.steps, q.ladder, 0, t+1)
+		q.runSingle(min(t+1, q.hi))
 	}
 }
 
-// runDouble reduces the contiguous columns [lo, hi) of one level, each
-// column's up-neighbour sitting four slots ahead in v — the layout
-// shared by the straight sweep, the interior of a tiled strip, and the
-// apron advance. The four lanes are unrolled with constant indices so
-// the compiler eliminates the bounds checks and pins the per-lane
-// coefficients in registers.
+// runDouble reduces the columns [0, cols) of one level, each column's
+// up-neighbour sitting four slots ahead in the steps buffer. The four
+// lanes are unrolled with constant indices so the compiler eliminates
+// the bounds checks and pins the per-lane coefficients in registers.
 //
 // The explicit float64 conversions around the products pin the
 // two-rounding arithmetic of the scalar reference: the Go spec licenses
@@ -155,14 +191,15 @@ func (q *QuadPlan) sweepSingle() {
 // payoffs).
 //
 //binopt:kernel quad interleaved level reduction (double precision)
-func (q *QuadPlan) runDouble(v, lad []float64, lo, hi int) {
+func (q *QuadPlan) runDouble(cols int) {
+	v, lad := q.steps, q.ladder
 	pu0, pu1, pu2, pu3 := q.pu[0], q.pu[1], q.pu[2], q.pu[3]
 	pd0, pd1, pd2, pd3 := q.pd[0], q.pd[1], q.pd[2], q.pd[3]
 	iv0, iv1, iv2, iv3 := q.invD[0], q.invD[1], q.invD[2], q.invD[3]
 	sk0, sk1, sk2, sk3 := q.strike[0], q.strike[1], q.strike[2], q.strike[3]
 	am0, am1, am2, am3 := q.american[0], q.american[1], q.american[2], q.american[3]
 	cl0, cl1, cl2, cl3 := q.isCall[0], q.isCall[1], q.isCall[2], q.isCall[3]
-	for k := lo; k < hi; k++ {
+	for k := 0; k < cols; k++ {
 		b := k * 4
 		row := v[b : b+8 : b+8]
 		sl := lad[b : b+4 : b+4]
@@ -238,14 +275,15 @@ func (q *QuadPlan) runDouble(v, lad []float64, lo, hi int) {
 // the moneyness, which the reference rounds before its comparison.
 //
 //binopt:kernel quad interleaved level reduction (single precision)
-func (q *QuadPlan) runSingle(v, lad []float64, lo, hi int) {
+func (q *QuadPlan) runSingle(cols int) {
+	v, lad := q.steps, q.ladder
 	pu0, pu1, pu2, pu3 := q.pu[0], q.pu[1], q.pu[2], q.pu[3]
 	pd0, pd1, pd2, pd3 := q.pd[0], q.pd[1], q.pd[2], q.pd[3]
 	iv0, iv1, iv2, iv3 := q.invD[0], q.invD[1], q.invD[2], q.invD[3]
 	sk0, sk1, sk2, sk3 := q.strike[0], q.strike[1], q.strike[2], q.strike[3]
 	am0, am1, am2, am3 := q.american[0], q.american[1], q.american[2], q.american[3]
 	cl0, cl1, cl2, cl3 := q.isCall[0], q.isCall[1], q.isCall[2], q.isCall[3]
-	for k := lo; k < hi; k++ {
+	for k := 0; k < cols; k++ {
 		b := k * 4
 		row := v[b : b+8 : b+8]
 		sl := lad[b : b+4 : b+4]

@@ -311,6 +311,22 @@ func TestDispatchSpillsAcrossShards(t *testing.T) {
 			}
 		}(i)
 	}
+	// Release only once every option sits on a shard: the fast shard
+	// holds two (one in its blocked worker, one in its queue), so the
+	// other four must have spilled. Releasing earlier lets the fast
+	// worker drain its queue before the last requests arrive.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var pending int64
+		for _, be := range s.backends {
+			pending += be.pending.Load()
+		}
+		if pending == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d options reached a shard", pending, n)
+		}
+	}
 	for i := 0; i < n; i++ {
 		release <- struct{}{}
 	}
