@@ -98,6 +98,19 @@ func probeChain() []option.Option {
 	}
 }
 
+// probePuts is the quad probe's puts-only group: with no call lane it
+// runs the sweep's zero-cone trim and exercise retirement, which the
+// mixed probeChain quad never reaches. ATM, deep-OTM and deep-ITM
+// American puts plus a European put.
+func probePuts() []option.Option {
+	return []option.Option{
+		{Right: option.Put, Style: option.American, Spot: 100, Strike: 100, Rate: 0.03, Sigma: 0.2, T: 0.5},
+		{Right: option.Put, Style: option.American, Spot: 100, Strike: 60, Rate: 0.03, Sigma: 0.2, T: 0.5},
+		{Right: option.Put, Style: option.American, Spot: 100, Strike: 150, Rate: 0.05, Sigma: 0.25, T: 1},
+		{Right: option.Put, Style: option.European, Spot: 100, Strike: 110, Rate: 0.03, Div: 0.01, Sigma: 0.3, T: 1},
+	}
+}
+
 // probeDepth picks the largest affordable probe depth the device can run
 // kernel IV.B at: one work-item per tree row, rows*8 bytes of local
 // memory per work-group.
@@ -204,30 +217,31 @@ func newHostEngine(desc Description, est perf.Estimate, steps int) (*Engine, err
 
 // verifyQuadParity extends the construction-time parity guarantee to
 // the interleaved batch path: the quad sweep must reproduce the scalar
-// host lattice bit for bit on the probe chain before the engine is
-// allowed to serve batches through it. Depth is capped like the kernel
-// probe; the quad kernels have no depth-dependent branches, so a few
-// hundred steps exercise every path.
+// host lattice bit for bit on the probe chain and the puts-only probe
+// group before the engine is allowed to serve batches through it. Depth
+// is capped like the kernel probe; the quad kernels have no
+// depth-dependent branches, so a few hundred steps exercise every path.
 func verifyQuadParity(name string, steps int) error {
 	depth := min(steps, maxProbeSteps)
 	ref, err := lattice.NewEngine(depth)
 	if err != nil {
 		return fmt.Errorf("accel: %s: quad probe: %w", name, err)
 	}
-	chain := probeChain()
 	qp := ref.NewQuadPlan()
-	if err := qp.Load(chain); err != nil {
-		return fmt.Errorf("accel: %s: quad probe: %w", name, err)
-	}
-	got := qp.Exec()
-	for i, o := range chain {
-		want, err := ref.Price(o)
-		if err != nil {
-			return fmt.Errorf("accel: %s: quad probe reference: %w", name, err)
+	for _, chain := range [][]option.Option{probeChain(), probePuts()} {
+		if err := qp.Load(chain); err != nil {
+			return fmt.Errorf("accel: %s: quad probe: %w", name, err)
 		}
-		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			return fmt.Errorf("accel: %s: quad/scalar parity violation (probe depth %d, option %d): quad %v (%#x) vs scalar %v (%#x)",
-				name, depth, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		got := qp.Exec()
+		for i, o := range chain {
+			want, err := ref.Price(o)
+			if err != nil {
+				return fmt.Errorf("accel: %s: quad probe reference: %w", name, err)
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				return fmt.Errorf("accel: %s: quad/scalar parity violation (probe depth %d, %s): quad %v (%#x) vs scalar %v (%#x)",
+					name, depth, o, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			}
 		}
 	}
 	return nil

@@ -15,9 +15,10 @@ import (
 //
 // Work is dispatched in quad groups: four options share one interleaved
 // backward sweep (the QuadPlan), and a trailing group of one to three
-// runs through the same plan with its unused lanes mirrored. Puts are
-// grouped ahead of the other contracts (see putsFirst) so put lanes
-// share sweeps and the zero-cone trim applies to mixed traffic too.
+// runs through the same plan with its unused lanes mirrored. Lanes are
+// grouped by right and style (see laneOrder) so put lanes share sweeps
+// and the zero-cone trim and exercise retirement apply to mixed traffic
+// too.
 // Each worker owns one reusable QuadPlan, so a steady batch allocates
 // nothing per group. Results are bit-identical to pricing each option
 // alone — the quad lanes run the scalar reference's exact operation
@@ -39,7 +40,7 @@ func (e *Engine) priceBatch(opts []option.Option, workers int) ([]float64, int64
 	if len(opts) == 0 {
 		return out, 0, nil
 	}
-	order := putsFirst(opts)
+	order := laneOrder(opts)
 	groups := (len(opts) + 3) / 4
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -114,20 +115,29 @@ feed:
 	return out, priced.Load(), nil
 }
 
-// putsFirst returns the indices of opts with every put ahead of every
-// other contract, each side in its original order. Cutting quads from
-// this order lets put lanes share sweeps, so a quad's zero-cone bound is
-// not lifted to the full triangle by a call lane.
-func putsFirst(opts []option.Option) []int {
-	order := make([]int, 0, len(opts))
-	for i, o := range opts {
-		if o.Right == option.Put {
-			order = append(order, i)
-		}
-	}
-	for i, o := range opts {
+// laneOrder returns the indices of opts in a stable order by right and
+// style: American puts, European puts, American calls, European calls.
+// Cutting quads from this order keeps a call lane from lifting a put
+// quad's zero-cone bound to the full triangle, an American call from
+// holding a put quad's exercise work live, and lets all-European quads
+// skip the ladder for the whole sweep.
+func laneOrder(opts []option.Option) []int {
+	rank := func(o option.Option) int {
+		r := 0
 		if o.Right != option.Put {
-			order = append(order, i)
+			r += 2
+		}
+		if o.Style != option.American {
+			r++
+		}
+		return r
+	}
+	order := make([]int, 0, len(opts))
+	for r := 0; r < 4; r++ {
+		for i, o := range opts {
+			if rank(o) == r {
+				order = append(order, i)
+			}
 		}
 	}
 	return order

@@ -23,7 +23,7 @@ func amPut() option.Option {
 	}
 }
 
-func mustEngine(t *testing.T, steps int) *Engine {
+func mustEngine(t testing.TB, steps int) *Engine {
 	t.Helper()
 	e, err := NewEngine(steps)
 	if err != nil {

@@ -39,6 +39,13 @@ type QuadPlan struct {
 	// hi bounds the columns the sweep visits: every node at or above it
 	// is an exact +0 in every loaded lane (the zero cone, see coneStart).
 	hi int
+	// ex bounds the columns whose early-exercise test can still fire in
+	// some lane at the first level (see exerciseStart); the sweep runs
+	// the columns from it up to hi continuation-only and lowers it as
+	// columns retire. retire is false when some lane (an American call,
+	// or an American put with invD < 1) rules retirement out.
+	ex     int
+	retire bool
 }
 
 // NewQuadPlan allocates quad scratch for the engine's depth.
@@ -71,7 +78,7 @@ func (q *QuadPlan) load(opts []option.Option) (int, error) {
 	e := q.eng
 	rnd := rounder(e.single)
 	n := q.n
-	q.hi = 0
+	q.hi, q.ex, q.retire = 0, 0, true
 	for i, o := range opts {
 		lp, err := option.NewLatticeParams(o, n, e.param)
 		if err != nil {
@@ -93,6 +100,16 @@ func (q *QuadPlan) load(opts []option.Option) (int, error) {
 			q.steps[k*4+i] = rnd(payoff(o.Right, q.ladder[k*4+i], q.strike[i]))
 		}
 		q.hi = max(q.hi, q.coneStart(i))
+		if q.american[i] {
+			if q.isCall[i] || !(q.invD[i] >= 1) {
+				q.retire = false
+			} else {
+				q.ex = max(q.ex, q.exerciseStart(i))
+			}
+		}
+	}
+	if !q.retire {
+		q.ex = n + 1
 	}
 	q.lanes = len(opts)
 	// Unused lanes mirror lane 0 so the sweep stays branch-free over a
@@ -139,38 +156,77 @@ func (q *QuadPlan) coneStart(i int) int {
 	return k + 1
 }
 
+// exerciseStart returns one past lane i's highest leaf column whose
+// asset price is not at or above the strike: an American put cannot
+// exercise in the columns from it up, and given invD ≥ 1 it never can
+// at any earlier level (see level). A NaN ladder value keeps its column.
+func (q *QuadPlan) exerciseStart(i int) int {
+	k := q.n
+	for k >= 0 && q.ladder[k*4+i] >= q.strike[i] {
+		k--
+	}
+	return k + 1
+}
+
 // Exec runs the interleaved sweep and returns the four lane values
 // (entries past the loaded lane count mirror lane 0).
 func (q *QuadPlan) Exec() [4]float64 {
-	if q.eng.single {
-		q.sweepSingle()
-	} else {
-		q.sweepDouble()
+	ex := q.ex
+	for t := q.n - 1; t >= 0; t-- {
+		ex = q.level(t, ex)
 	}
 	var out [4]float64
 	copy(out[:], q.steps[:4])
 	return out
 }
 
-// sweepDouble is the double-precision interleaved backward sweep: each
-// level is one contiguous run over columns [0, t], cut at the plan's
-// zero-cone bound.
+// level reduces time level t in the working precision and returns the
+// exercise-live bound for level t−1. The level's columns [0, t] are cut
+// at the zero-cone bound hi; of those, [0, ex) run the full node update
+// and [ex, cols) the continuation alone, reading and writing no ladder.
 //
-//binopt:kernel quad interleaved backward sweep (double precision)
-func (q *QuadPlan) sweepDouble() {
-	for t := q.n - 1; t >= 0; t-- {
-		q.runDouble(min(t+1, q.hi))
+// Retiring a column is exact. With invD ≥ 1, rnd(s·invD) ≥ s for s ≥ 0
+// in either precision (rounding is monotone and s is representable), so
+// a put column whose ladder is ≥ K keeps a ladder ≥ K at every earlier
+// level. Its moneyness rnd(K−s) is then ≤ 0, the continuation is ≥ 0 or
+// NaN, and the early-exercise test never fires again. Column k's ladder
+// slot is read by column k alone, so a retired column's stale ladder is
+// never read; European lanes never read the ladder at all. The
+// continuation arithmetic is the full update's, so every node still
+// equals the scalar reference bit for bit. The bound only shrinks by
+// testing its top column right after that column's ladder was updated,
+// so it is exact whether or not the leaves are monotone.
+//
+//binopt:kernel quad interleaved backward sweep, one level
+func (q *QuadPlan) level(t, ex int) int {
+	cols := min(t+1, q.hi)
+	ex = min(ex, cols)
+	if q.eng.single {
+		q.runSingle(ex)
+		q.contSingle(ex, cols)
+	} else {
+		q.runDouble(ex)
+		q.contDouble(ex, cols)
 	}
+	for ex > 0 && q.dead(ex-1) {
+		ex--
+	}
+	return ex
 }
 
-// sweepSingle is the single-precision interleaved sweep, rounding
-// through float32 at exactly the scalar reference's points.
-//
-//binopt:kernel quad interleaved backward sweep (single precision)
-func (q *QuadPlan) sweepSingle() {
-	for t := q.n - 1; t >= 0; t-- {
-		q.runSingle(min(t+1, q.hi))
+// dead reports whether column k's early-exercise test can no longer
+// fire in any lane: retirement is allowed and every American lane (all
+// puts then) has a ladder at or above its strike.
+func (q *QuadPlan) dead(k int) bool {
+	if !q.retire {
+		return false
 	}
+	for i := 0; i < 4; i++ {
+		if q.american[i] && !(q.ladder[k*4+i] >= q.strike[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // runDouble reduces the columns [0, cols) of one level, each column's
@@ -359,5 +415,42 @@ func (q *QuadPlan) runSingle(cols int) {
 			}
 		}
 		row[3] = c3
+	}
+}
+
+// contDouble is runDouble's continuation alone over the columns
+// [lo, hi), for columns where no lane can exercise early: no ladder
+// read, multiply or store, and no moneyness test.
+//
+//binopt:kernel quad interleaved continuation-only reduction (double precision)
+func (q *QuadPlan) contDouble(lo, hi int) {
+	v := q.steps
+	pu0, pu1, pu2, pu3 := q.pu[0], q.pu[1], q.pu[2], q.pu[3]
+	pd0, pd1, pd2, pd3 := q.pd[0], q.pd[1], q.pd[2], q.pd[3]
+	for k := lo; k < hi; k++ {
+		b := k * 4
+		row := v[b : b+8 : b+8]
+		row[0] = float64(pu0*row[4]) + float64(pd0*row[0])
+		row[1] = float64(pu1*row[5]) + float64(pd1*row[1])
+		row[2] = float64(pu2*row[6]) + float64(pd2*row[2])
+		row[3] = float64(pu3*row[7]) + float64(pd3*row[3])
+	}
+}
+
+// contSingle is contDouble rounded through float32 at runSingle's
+// continuation points.
+//
+//binopt:kernel quad interleaved continuation-only reduction (single precision)
+func (q *QuadPlan) contSingle(lo, hi int) {
+	v := q.steps
+	pu0, pu1, pu2, pu3 := q.pu[0], q.pu[1], q.pu[2], q.pu[3]
+	pd0, pd1, pd2, pd3 := q.pd[0], q.pd[1], q.pd[2], q.pd[3]
+	for k := lo; k < hi; k++ {
+		b := k * 4
+		row := v[b : b+8 : b+8]
+		row[0] = float64(float32(float64(float32(pu0*row[4])) + float64(float32(pd0*row[0]))))
+		row[1] = float64(float32(float64(float32(pu1*row[5])) + float64(float32(pd1*row[1]))))
+		row[2] = float64(float32(float64(float32(pu2*row[6])) + float64(float32(pd2*row[2]))))
+		row[3] = float64(float32(float64(float32(pu3*row[7])) + float64(float32(pd3*row[3]))))
 	}
 }

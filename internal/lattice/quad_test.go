@@ -76,11 +76,15 @@ func TestQuadScalarBitParity(t *testing.T) {
 // executed plan so callers can inspect its zero-cone bound.
 func assertQuadParity(t *testing.T, e *Engine, opts []option.Option) *QuadPlan {
 	t.Helper()
-	qp := e.NewQuadPlan()
-	if err := qp.Load(opts); err != nil {
-		t.Fatal(err)
-	}
-	got := qp.Exec()
+	qp := loadQuad(t, e, opts)
+	assertLanes(t, e, opts, qp.Exec())
+	return qp
+}
+
+// assertLanes requires each lane of got to equal opts' scalar reference
+// price bit for bit.
+func assertLanes(t *testing.T, e *Engine, opts []option.Option, got [4]float64) {
+	t.Helper()
 	for i, o := range opts {
 		want, err := e.Price(o)
 		if err != nil {
@@ -91,7 +95,6 @@ func assertQuadParity(t *testing.T, e *Engine, opts []option.Option) *QuadPlan {
 				i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 		}
 	}
-	return qp
 }
 
 // withStrikes returns one put per strike on one underlying, alternating
@@ -135,16 +138,7 @@ func TestQuadZeroConeParity(t *testing.T) {
 				}
 			})
 			t.Run(name+"/strike-on-leaf", func(t *testing.T) {
-				lp, err := option.NewLatticeParams(withStrikes(100)[0], n, option.CRR)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var leaves []float64
-				if device {
-					leaves = DeviceLeafPrices(100, lp, e.pow, single)
-				} else {
-					leaves = HostLeafPrices(100, lp, option.CRR, single)
-				}
+				leaves := engineLeaves(t, e, withStrikes(100)[0])
 				const j = n / 2
 				qp := assertQuadParity(t, e, withStrikes(leaves[j], leaves[j-3], leaves[j-10], leaves[j]))
 				if qp.hi != j {
@@ -182,6 +176,206 @@ func TestQuadZeroConeParity(t *testing.T) {
 				t.Errorf("European puts with d > 1 should still trim, bound %d", qp.hi)
 			}
 		})
+	}
+}
+
+// engineLeaves returns the leaf ladder e derives for o.
+func engineLeaves(t testing.TB, e *Engine, o option.Option) []float64 {
+	t.Helper()
+	lp, err := option.NewLatticeParams(o, e.steps, e.param)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.leaf == LeafDevicePow {
+		return DeviceLeafPrices(o.Spot, lp, e.pow, e.single)
+	}
+	return HostLeafPrices(o.Spot, lp, e.param, e.single)
+}
+
+// ladderAt returns column j's asset price m levels above the leaves, by
+// the sweep's own recurrence s ← rnd(s·invD).
+func ladderAt(t testing.TB, e *Engine, o option.Option, j, m int) float64 {
+	t.Helper()
+	lp, err := option.NewLatticeParams(o, e.steps, e.param)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rounder(e.single)
+	invD := rnd(1 / rnd(lp.D))
+	s := engineLeaves(t, e, o)[j]
+	for ; m > 0; m-- {
+		s = rnd(s * invD)
+	}
+	return s
+}
+
+// wantExerciseBound is the load-time exercise-live bound derived
+// independently of the plan: one past the highest leaf column at which
+// some American lane's asset price is not at or above its strike.
+func wantExerciseBound(t testing.TB, e *Engine, opts []option.Option) int {
+	t.Helper()
+	ex := 0
+	for _, o := range opts {
+		if o.Style != option.American {
+			continue
+		}
+		for k, s := range engineLeaves(t, e, o) {
+			if !(s >= rounder(e.single)(o.Strike)) {
+				ex = max(ex, k+1)
+			}
+		}
+	}
+	return ex
+}
+
+// sweepTrace runs the loaded plan's sweep level by level, as Exec does,
+// and returns the exercise-live bound left after each level (indexed by
+// level). It fails the test if the bound ever rises or exceeds the
+// columns its level visited, and checks the swept lanes against the
+// scalar reference bit for bit.
+func sweepTrace(t *testing.T, e *Engine, qp *QuadPlan, opts []option.Option) []int {
+	t.Helper()
+	trace := make([]int, qp.n)
+	ex := qp.ex
+	for lv := qp.n - 1; lv >= 0; lv-- {
+		cols := min(lv+1, qp.hi)
+		next := qp.level(lv, ex)
+		if next > ex || next > cols {
+			t.Fatalf("level %d: bound %d -> %d with %d columns", lv, ex, next, cols)
+		}
+		ex = next
+		trace[lv] = ex
+	}
+	var got [4]float64
+	copy(got[:], qp.steps[:4])
+	assertLanes(t, e, opts, got)
+	return trace
+}
+
+// loadQuad loads opts into a fresh quad plan.
+func loadQuad(t *testing.T, e *Engine, opts []option.Option) *QuadPlan {
+	t.Helper()
+	qp := e.NewQuadPlan()
+	if err := qp.Load(opts); err != nil {
+		t.Fatal(err)
+	}
+	return qp
+}
+
+// TestQuadExerciseRetireParity pins the exercise retirement at its
+// edges: an all-European quad (bound 0, the ladder never touched), a
+// mixed American/European put quad, a strike equal bit for bit to an
+// interior ladder value (the column retires at the level where s == K),
+// a deep-ITM put that never retires, and a Jarrow–Rudd d > 1 American
+// put, which rules retirement out. Each case checks the load-time bound
+// and parity with the scalar reference.
+func TestQuadExerciseRetireParity(t *testing.T) {
+	const n = 64
+	for _, single := range []bool{false, true} {
+		for _, device := range []bool{false, true} {
+			e := quadEngine(t, n, single, device)
+			name := fmt.Sprintf("single=%v/device=%v", single, device)
+			t.Run(name+"/all-european", func(t *testing.T) {
+				opts := withStrikes(90, 100, 110, 120)
+				for i := range opts {
+					opts[i].Style = option.European
+				}
+				opts[2].Right, opts[3].Right = option.Call, option.Call
+				qp := loadQuad(t, e, opts)
+				if qp.ex != 0 {
+					t.Errorf("bound %d, want 0", qp.ex)
+				}
+				loaded := append([]float64(nil), qp.ladder...)
+				sweepTrace(t, e, qp, opts)
+				for k := range loaded {
+					if math.Float64bits(qp.ladder[k]) != math.Float64bits(loaded[k]) {
+						t.Fatalf("ladder slot %d touched: %v -> %v", k, loaded[k], qp.ladder[k])
+					}
+				}
+			})
+			t.Run(name+"/mixed-american-european", func(t *testing.T) {
+				opts := withStrikes(90, 100, 85, 120)
+				qp := loadQuad(t, e, opts)
+				if want := wantExerciseBound(t, e, opts); qp.ex != want || want < 1 || want > n {
+					t.Errorf("bound %d, want %d inside [1, %d]", qp.ex, want, n)
+				}
+				trace := sweepTrace(t, e, qp, opts)
+				if trace[0] != 0 {
+					t.Errorf("root level left bound %d: the out-of-the-money root never retired", trace[0])
+				}
+			})
+			t.Run(name+"/strike-on-interior-ladder", func(t *testing.T) {
+				const j, m = n/2 - 4, 8
+				opts := withStrikes(100, 80, 95, 70)
+				opts[0].Strike = ladderAt(t, e, opts[0], j, m)
+				opts[2].Style = option.European
+				qp := loadQuad(t, e, opts)
+				if want := wantExerciseBound(t, e, opts); qp.ex != want {
+					t.Errorf("bound %d, want %d", qp.ex, want)
+				}
+				trace := sweepTrace(t, e, qp, opts)
+				// Column j reaches s == K at level n−m and retires there,
+				// not a level earlier.
+				if got := trace[n-m]; got != j {
+					t.Errorf("bound after level %d is %d, want %d", n-m, got, j)
+				}
+				if got := trace[n-m+1]; got <= j {
+					t.Errorf("bound after level %d is %d: column %d retired before s == K", n-m+1, got, j)
+				}
+			})
+			t.Run(name+"/deep-itm-never-retires", func(t *testing.T) {
+				opts := withStrikes(1e4, 90, 80, 100)
+				qp := loadQuad(t, e, opts)
+				if qp.ex != n+1 {
+					t.Errorf("bound %d, want %d", qp.ex, n+1)
+				}
+				for lv, ex := range sweepTrace(t, e, qp, opts) {
+					if ex != lv+1 {
+						t.Errorf("bound after level %d is %d, want every column live", lv, ex)
+					}
+				}
+			})
+			t.Run(name+"/jarrow-rudd-d>1", func(t *testing.T) {
+				e := e.WithParameterisation(option.JarrowRudd)
+				opts := withStrikes(101, 102, 103, 105)
+				for i := range opts {
+					opts[i].Rate, opts[i].Sigma, opts[i].T = 0.5, 0.05, 1
+				}
+				qp := loadQuad(t, e, opts)
+				if qp.ex != n+1 || qp.retire {
+					t.Errorf("bound %d retire %v, want %d and no retirement", qp.ex, qp.retire, n+1)
+				}
+				sweepTrace(t, e, qp, opts)
+			})
+		}
+	}
+}
+
+// TestQuadExerciseBoundShrinks checks, over random put and mixed quads
+// in both precisions, that the exercise-live bound never rises from one
+// level to the next and never exceeds the columns a level visits, and
+// that the traced sweep still matches the scalar reference bit for bit.
+func TestQuadExerciseBoundShrinks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, single := range []bool{false, true} {
+		e := quadEngine(t, 96, single, false)
+		for q := 0; q < 40; q++ {
+			opts := make([]option.Option, 1+rng.Intn(4))
+			for i := range opts {
+				opts[i] = option.Option{
+					Right: option.Put, Style: option.American,
+					Spot: 100, Strike: 50 + 100*rng.Float64(), Rate: 0.05 * rng.Float64(),
+					Sigma: 0.1 + 0.4*rng.Float64(), T: 0.1 + 2*rng.Float64(),
+				}
+				if rng.Intn(4) == 0 {
+					opts[i].Style = option.European
+				}
+				if q%5 == 0 && rng.Intn(2) == 0 {
+					opts[i].Right = option.Call
+				}
+			}
+			sweepTrace(t, e, loadQuad(t, e, opts), opts)
+		}
 	}
 }
 
@@ -299,20 +493,22 @@ func TestPriceBatchStopsAfterError(t *testing.T) {
 }
 
 // TestPriceBatchOrderInvariant pins the batch pricer's lane ordering:
-// a mixed batch priced in its original, reversed and shuffled order
-// returns every contract's scalar price bit for bit at its own position,
-// whatever quads the put-first grouping cuts.
+// a batch mixing all four (right, style) classes, with enough European
+// puts and calls to fill all-European quads, priced in its original,
+// reversed and shuffled order returns every contract's scalar price bit
+// for bit at its own position, whatever quads laneOrder cuts — and
+// laneOrder groups the classes stably.
 func TestPriceBatchOrderInvariant(t *testing.T) {
 	e := mustEngine(t, 96)
 	base := quadChain(option.Put, option.American)
 	var opts []option.Option
-	for i := 0; i < 23; i++ {
+	for i := 0; i < 35; i++ {
 		o := base[i%4]
 		o.Strike += float64(i)
 		if i%3 == 1 {
 			o.Right = option.Call
 		}
-		if i%5 == 2 {
+		if i%5 == 2 || i >= 23 {
 			o.Style = option.European
 		}
 		opts = append(opts, o)
@@ -346,6 +542,17 @@ func TestPriceBatchOrderInvariant(t *testing.T) {
 				}
 			}
 		}
+		class := func(o option.Option) [2]bool { return [2]bool{o.Right != option.Put, o.Style != option.American} }
+		order := laneOrder(batch)
+		for j := 1; j < len(order); j++ {
+			a, b := class(batch[order[j-1]]), class(batch[order[j]])
+			if a == b && order[j-1] > order[j] {
+				t.Errorf("%s: laneOrder is not stable within %v", name, a)
+			}
+			if a != b && (a[0] && !b[0] || a[0] == b[0] && a[1] && !b[1]) {
+				t.Errorf("%s: laneOrder puts class %v ahead of %v", name, a, b)
+			}
+		}
 	}
 }
 
@@ -358,13 +565,17 @@ func FuzzQuadParity(f *testing.F) {
 	// Seeds: the zero-cone edges of TestQuadZeroConeParity — strikes
 	// below and above every leaf, a strike on a leaf — a Jarrow–Rudd
 	// tree with d > 1, a single-precision Jarrow–Rudd tree whose
-	// discounted probabilities round to +Inf, a mixed put/call quad, and
-	// a two-lane partial group.
+	// discounted probabilities round to +Inf, a mixed put/call quad, a
+	// two-lane partial group, and the exercise-retirement edges of
+	// TestQuadExerciseRetireParity: an all-European quad, a mixed
+	// American/European put quad, a strike on an interior ladder value
+	// and a deep-ITM put that never retires.
 	lp, err := option.NewLatticeParams(withStrikes(100)[0], 32, option.CRR)
 	if err != nil {
 		f.Fatal(err)
 	}
 	onLeaf := HostLeafPrices(100, lp, option.CRR, false)[16]
+	onLadder := ladderAt(f, mustEngine(f, 64), withStrikes(100)[0], 28, 8)
 	f.Add(uint8(3), uint8(15), uint8(5), uint8(0), uint8(31), 100.0, 0.03, 0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
 	f.Add(uint8(3), uint8(15), uint8(10), uint8(1), uint8(31), 100.0, 0.03, 0.0, 0.25, 0.5, 1e4, 2e4, 5e4, 1e5)
 	f.Add(uint8(3), uint8(15), uint8(5), uint8(0), uint8(31), 100.0, 0.03, 0.0, 0.25, 0.5, onLeaf, onLeaf, 90.0, 80.0)
@@ -372,6 +583,10 @@ func FuzzQuadParity(f *testing.F) {
 	f.Add(uint8(3), uint8(15), uint8(0), uint8(5), uint8(0), 100.0, -90.0, 0.0, 0.1, 1.0, 1e-40, 1e-40, 1e-40, 1e-40)
 	f.Add(uint8(3), uint8(5), uint8(3), uint8(0), uint8(100), 90.0, 0.02, 0.01, 0.3, 1.5, 85.0, 95.0, 105.0, 120.0)
 	f.Add(uint8(1), uint8(3), uint8(1), uint8(8), uint8(33), 100.0, 0.03, 0.0, 0.2, 0.5, 95.0, 105.0, 0.0, 0.0)
+	f.Add(uint8(3), uint8(3), uint8(0), uint8(2), uint8(63), 100.0, 0.03, 0.0, 0.25, 0.5, 90.0, 100.0, 110.0, 120.0)
+	f.Add(uint8(3), uint8(15), uint8(5), uint8(3), uint8(63), 100.0, 0.03, 0.0, 0.25, 0.5, 90.0, 100.0, 85.0, 120.0)
+	f.Add(uint8(3), uint8(15), uint8(1), uint8(0), uint8(63), 100.0, 0.03, 0.0, 0.25, 0.5, onLadder, 80.0, 95.0, 70.0)
+	f.Add(uint8(3), uint8(15), uint8(5), uint8(1), uint8(63), 100.0, 0.03, 0.0, 0.25, 0.5, 1e4, 90.0, 80.0, 100.0)
 	params := []option.Parameterisation{option.CRR, option.JarrowRudd, option.Tian, option.LeisenReimer}
 	f.Fuzz(func(t *testing.T, lanes, rights, styles, cfg, steps uint8, spot, rate, div, sigma, expiry, k0, k1, k2, k3 float64) {
 		e := mustEngine(t, 1+int(steps))

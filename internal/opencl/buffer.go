@@ -1,16 +1,26 @@
 package opencl
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync/atomic"
+)
 
 // Buffer is a global-memory object. Values are held as float64 words; the
 // element size only affects the byte accounting, so a single-precision
 // kernel build declares 4-byte elements and the traffic meters shrink
 // accordingly (exactly the effect single precision has on a real board's
 // bandwidth needs).
+//
+// Words are stored as their IEEE-754 bits and work-items access them
+// atomically, as aligned words of real device memory are: a kernel whose
+// work-items collide on an element (the hazard the checker reports)
+// reads or leaves one of the written values, and the simulation itself
+// is free of Go data races.
 type Buffer struct {
 	ctx       *Context
 	name      string
-	data      []float64
+	data      []uint64
 	elemBytes int64
 	released  bool
 }
@@ -31,7 +41,7 @@ func (c *Context) CreateBuffer(name string, n int, elemBytes int) (*Buffer, erro
 	return &Buffer{
 		ctx:       c,
 		name:      name,
-		data:      make([]float64, n),
+		data:      make([]uint64, n),
 		elemBytes: int64(elemBytes),
 	}, nil
 }
@@ -65,7 +75,7 @@ func (b *Buffer) at(i int) float64 {
 	if i < 0 || i >= len(b.data) {
 		panic(fmt.Errorf("opencl: buffer %q read out of range: %d of %d", b.name, i, len(b.data)))
 	}
-	return b.data[i]
+	return math.Float64frombits(atomic.LoadUint64(&b.data[i]))
 }
 
 // set writes an element with bounds checking; kernels reach it through
@@ -74,5 +84,5 @@ func (b *Buffer) set(i int, v float64) {
 	if i < 0 || i >= len(b.data) {
 		panic(fmt.Errorf("opencl: buffer %q write out of range: %d of %d", b.name, i, len(b.data)))
 	}
-	b.data[i] = v
+	atomic.StoreUint64(&b.data[i], math.Float64bits(v))
 }

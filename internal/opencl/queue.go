@@ -2,6 +2,7 @@ package opencl
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -150,7 +151,9 @@ func (q *CommandQueue) EnqueueWriteBuffer(b *Buffer, offset int, data []float64)
 			b.name, offset, offset+len(data), b.Len())
 	}
 	start := time.Now()
-	copy(b.data[offset:], data)
+	for i, v := range data {
+		b.data[offset+i] = math.Float64bits(v)
+	}
 	st := Counters{HostWrites: int64(len(data)) * b.elemBytes, HostTransfers: 1}
 	return q.record("write "+b.name, st, queued, start), nil
 }
@@ -164,7 +167,9 @@ func (q *CommandQueue) EnqueueReadBuffer(b *Buffer, offset int, out []float64) (
 			b.name, offset, offset+len(out), b.Len())
 	}
 	start := time.Now()
-	copy(out, b.data[offset:offset+len(out)])
+	for i := range out {
+		out[i] = math.Float64frombits(b.data[offset+i])
+	}
 	st := Counters{HostReads: int64(len(out)) * b.elemBytes, HostTransfers: 1}
 	return q.record("read "+b.name, st, queued, start), nil
 }
