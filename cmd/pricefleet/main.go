@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"binopt/internal/cluster"
+	"binopt/internal/lattice"
 	"binopt/internal/obslog"
 	"binopt/internal/serve"
 	"binopt/internal/slo"
@@ -270,8 +271,8 @@ func run(cfg fleetConfig) error {
 		if fleet != nil {
 			mode = "in-process"
 		}
-		log.Printf("pricefleet: routing %d nodes (%s) on %s (steps=%d, vnodes=%d, seed=%d, hedge=%s, heartbeat=%s)",
-			len(members), mode, cfg.addr, cfg.steps, cfg.vnodes, cfg.seed, cfg.hedge, cfg.heartbeat)
+		log.Printf("pricefleet: routing %d nodes (%s) on %s (steps=%d, vnodes=%d, seed=%d, hedge=%s, heartbeat=%s, quad-kernel=%s)",
+			len(members), mode, cfg.addr, cfg.steps, cfg.vnodes, cfg.seed, cfg.hedge, cfg.heartbeat, lattice.QuadKernel())
 		for _, n := range members {
 			log.Printf("pricefleet: member %s at %s", n.Name, n.BaseURL)
 		}

@@ -62,6 +62,7 @@ import (
 
 	"binopt/internal/accel"
 	"binopt/internal/faults"
+	"binopt/internal/lattice"
 	"binopt/internal/obslog"
 	"binopt/internal/serve"
 	"binopt/internal/slo"
@@ -278,8 +279,8 @@ func run(cfg serverConfig) error {
 	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("pricesrvd: listening on %s (steps=%d, max-batch=%d, flush=%s, queue=%d, cache=%d, trace=%v)",
-			cfg.addr, cfg.steps, cfg.maxBatch, cfg.flush, cfg.queue, cfg.cacheSize, cfg.trace)
+		log.Printf("pricesrvd: listening on %s (steps=%d, max-batch=%d, flush=%s, queue=%d, cache=%d, trace=%v, quad-kernel=%s)",
+			cfg.addr, cfg.steps, cfg.maxBatch, cfg.flush, cfg.queue, cfg.cacheSize, cfg.trace, lattice.QuadKernel())
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 			return

@@ -216,31 +216,55 @@ func newHostEngine(desc Description, est perf.Estimate, steps int) (*Engine, err
 }
 
 // verifyQuadParity extends the construction-time parity guarantee to
-// the interleaved batch path: the quad sweep must reproduce the scalar
+// the interleaved batch path: the quad sweep, on the level kernels this
+// process serves with (lattice.QuadKernel), must reproduce the scalar
 // host lattice bit for bit on the probe chain and the puts-only probe
 // group before the engine is allowed to serve batches through it. Depth
 // is capped like the kernel probe; the quad kernels have no
 // depth-dependent branches, so a few hundred steps exercise every path.
+//
+// The verdict depends on the probe depth alone, so it is computed once
+// per depth per process (error included) and every engine built at that
+// depth, concurrently or not, gets the same result.
 func verifyQuadParity(name string, steps int) error {
 	depth := min(steps, maxProbeSteps)
+	v, _ := quadProbes.LoadOrStore(depth, new(quadProbe))
+	p := v.(*quadProbe)
+	p.once.Do(func() { p.err = checkQuadParity(depth) })
+	if p.err != nil {
+		return fmt.Errorf("accel: %s: %w", name, p.err)
+	}
+	return nil
+}
+
+// quadProbes memoises checkQuadParity per probe depth (int → *quadProbe).
+var quadProbes sync.Map
+
+type quadProbe struct {
+	once sync.Once
+	err  error
+}
+
+// checkQuadParity runs the quad/scalar probe sweep at one depth.
+func checkQuadParity(depth int) error {
 	ref, err := lattice.NewEngine(depth)
 	if err != nil {
-		return fmt.Errorf("accel: %s: quad probe: %w", name, err)
+		return fmt.Errorf("quad probe: %w", err)
 	}
 	qp := ref.NewQuadPlan()
 	for _, chain := range [][]option.Option{probeChain(), probePuts()} {
 		if err := qp.Load(chain); err != nil {
-			return fmt.Errorf("accel: %s: quad probe: %w", name, err)
+			return fmt.Errorf("quad probe: %w", err)
 		}
 		got := qp.Exec()
 		for i, o := range chain {
 			want, err := ref.Price(o)
 			if err != nil {
-				return fmt.Errorf("accel: %s: quad probe reference: %w", name, err)
+				return fmt.Errorf("quad probe reference: %w", err)
 			}
 			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				return fmt.Errorf("accel: %s: quad/scalar parity violation (probe depth %d, %s): quad %v (%#x) vs scalar %v (%#x)",
-					name, depth, o, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+				return fmt.Errorf("quad/scalar parity violation (%s kernels, probe depth %d, %s): quad %v (%#x) vs scalar %v (%#x)",
+					lattice.QuadKernel(), depth, o, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 			}
 		}
 	}

@@ -2,7 +2,10 @@ package accel
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"binopt/internal/lattice"
@@ -189,6 +192,54 @@ func TestProbeDepthRespectsDeviceLimits(t *testing.T) {
 	for _, c := range cases {
 		if got := probeDepth(c.info, c.steps); got != c.want {
 			t.Errorf("probeDepth(%+v, %d) = %d, want %d", c.info, c.steps, got, c.want)
+		}
+	}
+}
+
+// TestVerifyQuadParityOncePerDepth pins the memoised construction-time
+// quad check: constructors racing at one depth all get its verdict from
+// one shared entry, a stored failure reaches every later constructor
+// under its own name, and a depth past the probe cap shares the capped
+// depth's entry.
+func TestVerifyQuadParityOncePerDepth(t *testing.T) {
+	const depth = 41 // no other test builds engines at this depth
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = verifyQuadParity(fmt.Sprintf("engine-%d", i), depth)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("constructor %d: %v", i, err)
+		}
+	}
+	if _, ok := quadProbes.Load(depth); !ok {
+		t.Fatalf("no memoised verdict for depth %d", depth)
+	}
+
+	if err := verifyQuadParity("deep", 4*maxProbeSteps); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := quadProbes.Load(4 * maxProbeSteps); ok {
+		t.Errorf("depth %d memoised uncapped; it should share depth %d's entry", 4*maxProbeSteps, maxProbeSteps)
+	}
+
+	const failing = 3
+	bad := new(quadProbe)
+	bad.once.Do(func() { bad.err = errors.New("quad/scalar parity violation (injected)") })
+	if _, loaded := quadProbes.LoadOrStore(failing, bad); loaded {
+		t.Fatalf("depth %d already memoised; pick an unused depth", failing)
+	}
+	t.Cleanup(func() { quadProbes.Delete(failing) })
+	for _, name := range []string{"fpga-ivb", "cpu-ref"} {
+		err := verifyQuadParity(name, failing)
+		if err == nil || !strings.HasPrefix(err.Error(), "accel: "+name+": quad/scalar parity violation") {
+			t.Errorf("%s: got %v, want the memoised failure under its own name", name, err)
 		}
 	}
 }

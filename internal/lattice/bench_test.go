@@ -18,6 +18,26 @@ func BenchmarkQuadPutChain1024(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchPutChain(b, eng, lattice.QuadKernel())
+}
+
+// BenchmarkQuadPutChain1024Portable is BenchmarkQuadPutChain1024 on the
+// portable Go level kernels. Where lattice.QuadKernel is "avx2", the
+// same-run ratio of the two is the AVX2 kernels' speedup that
+// scripts/coldpath_smoke.sh gates on.
+func BenchmarkQuadPutChain1024Portable(b *testing.B) {
+	eng, err := lattice.NewEngine(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPutChain(b, eng.WithPortableKernels(), "portable")
+}
+
+// benchPutChain runs the chain on eng and logs the name of the quad
+// kernels eng runs; benchmark logs print without -v, so scripts can
+// read it.
+func benchPutChain(b *testing.B, eng *lattice.Engine, kernel string) {
+	b.Logf("quad kernel: %s", kernel)
 	spec := workload.DefaultVolCurveSpec(7)
 	spec.N = 64
 	chain, err := workload.Chain(spec)

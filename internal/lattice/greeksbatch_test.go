@@ -30,7 +30,8 @@ func mixedBook(n int) []option.Option {
 
 // TestPriceAndGreeksBatchParity pins the batch path bit-identical to the
 // per-option scalar PriceAndGreeks reference across rights, styles,
-// parameterisations (exercising both theta branches) and precisions.
+// parameterisations (exercising both theta branches), precisions and
+// quad level kernels.
 func TestPriceAndGreeksBatchParity(t *testing.T) {
 	opts := mixedBook(37)
 	engines := map[string]*Engine{
@@ -41,22 +42,25 @@ func TestPriceAndGreeksBatchParity(t *testing.T) {
 		"crr-devleaf":  mustEngine(t, 64).WithDeviceLeaves(defaultPow(t)),
 		"crr-double33": mustEngine(t, 33),
 	}
-	for name, e := range engines {
-		for _, workers := range []int{1, 4} {
-			prices, greeks, err := e.PriceAndGreeksBatch(opts, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			for i, o := range opts {
-				refP, refG, err := e.PriceAndGreeks(o)
+	for cfg, e := range engines {
+		for _, e := range kernelEngines(e) {
+			name := cfg + "/" + kernelName(e)
+			for _, workers := range []int{1, 4} {
+				prices, greeks, err := e.PriceAndGreeksBatch(opts, workers)
 				if err != nil {
-					t.Fatalf("%s reference %d: %v", name, i, err)
+					t.Fatalf("%s workers=%d: %v", name, workers, err)
 				}
-				if prices[i] != refP {
-					t.Fatalf("%s workers=%d option %d price: %v != %v", name, workers, i, prices[i], refP)
-				}
-				if greeks[i] != refG {
-					t.Fatalf("%s workers=%d option %d greeks: %+v != %+v", name, workers, i, greeks[i], refG)
+				for i, o := range opts {
+					refP, refG, err := e.PriceAndGreeks(o)
+					if err != nil {
+						t.Fatalf("%s reference %d: %v", name, i, err)
+					}
+					if prices[i] != refP {
+						t.Fatalf("%s workers=%d option %d price: %v != %v", name, workers, i, prices[i], refP)
+					}
+					if greeks[i] != refG {
+						t.Fatalf("%s workers=%d option %d greeks: %+v != %+v", name, workers, i, greeks[i], refG)
+					}
 				}
 			}
 		}

@@ -39,6 +39,11 @@ type Engine struct {
 	single bool
 	leaf   LeafInit
 	pow    hwmath.PowCore
+
+	// portable makes the engine's quad plans run the portable Go level
+	// kernels even where the host has AVX2, so tests and benchmarks can
+	// compare the two.
+	portable bool
 }
 
 // NewEngine returns a double-precision reference engine with host-side

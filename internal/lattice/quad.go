@@ -46,6 +46,11 @@ type QuadPlan struct {
 	// or an American put with invD < 1) rules retirement out.
 	ex     int
 	retire bool
+
+	// avx2 selects the AVX2 level kernels (quad_amd64.s), which hold
+	// each node's four lanes in one YMM register; otherwise the portable
+	// Go kernels below run. NewQuadPlan sets it where the host has AVX2.
+	avx2 bool
 }
 
 // NewQuadPlan allocates quad scratch for the engine's depth.
@@ -56,7 +61,18 @@ func (e *Engine) NewQuadPlan() *QuadPlan {
 		n:      n,
 		steps:  make([]float64, (n+1)*4),
 		ladder: make([]float64, (n+1)*4),
+		avx2:   hasAVX2 && !e.portable,
 	}
+}
+
+// QuadKernel names the level kernels this process's quad plans run:
+// "avx2" where the CPU and OS support AVX2, else "portable". Throughput
+// figures should be read against it.
+func QuadKernel() string {
+	if hasAVX2 {
+		return "avx2"
+	}
+	return "portable"
 }
 
 // Load plans 1–4 contracts into the four lanes. On error it names the
@@ -201,10 +217,13 @@ func (q *QuadPlan) Exec() [4]float64 {
 func (q *QuadPlan) level(t, ex int) int {
 	cols := min(t+1, q.hi)
 	ex = min(ex, cols)
-	if q.eng.single {
+	switch {
+	case q.avx2:
+		q.levelAVX2(ex, cols)
+	case q.eng.single:
 		q.runSingle(ex)
 		q.contSingle(ex, cols)
-	} else {
+	default:
 		q.runDouble(ex)
 		q.contDouble(ex, cols)
 	}

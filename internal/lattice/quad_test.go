@@ -71,13 +71,36 @@ func TestQuadScalarBitParity(t *testing.T) {
 	}
 }
 
-// assertQuadParity loads opts into one quad plan, sweeps it and requires
-// every lane to equal the scalar reference bit for bit. It returns the
-// executed plan so callers can inspect its zero-cone bound.
+// kernelEngines returns e once per quad level-kernel set this host runs:
+// as built, which selects the AVX2 kernels where the CPU has them, and
+// then with the portable Go kernels forced, so every parity case checks
+// both against the scalar reference.
+func kernelEngines(e *Engine) []*Engine {
+	if !hasAVX2 {
+		return []*Engine{e}
+	}
+	return []*Engine{e, e.WithPortableKernels()}
+}
+
+// kernelName names the level kernels e's quad plans run.
+func kernelName(e *Engine) string {
+	if e.NewQuadPlan().avx2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
+// assertQuadParity loads opts into a quad plan per level-kernel set,
+// sweeps it and requires every lane to equal the scalar reference bit
+// for bit. It returns the last executed plan so callers can inspect its
+// load-time bounds, which do not depend on the kernels.
 func assertQuadParity(t *testing.T, e *Engine, opts []option.Option) *QuadPlan {
 	t.Helper()
-	qp := loadQuad(t, e, opts)
-	assertLanes(t, e, opts, qp.Exec())
+	var qp *QuadPlan
+	for _, ke := range kernelEngines(e) {
+		qp = loadQuad(t, ke, opts)
+		assertLanes(t, ke, opts, qp.Exec())
+	}
 	return qp
 }
 
@@ -91,8 +114,8 @@ func assertLanes(t *testing.T, e *Engine, opts []option.Option, got [4]float64) 
 			t.Fatal(err)
 		}
 		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Errorf("lane %d: %v (%#x) != scalar %v (%#x)",
-				i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			t.Errorf("%s lane %d: %v (%#x) != scalar %v (%#x)",
+				kernelName(e), i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
 		}
 	}
 }
@@ -273,7 +296,7 @@ func TestQuadExerciseRetireParity(t *testing.T) {
 	const n = 64
 	for _, single := range []bool{false, true} {
 		for _, device := range []bool{false, true} {
-			e := quadEngine(t, n, single, device)
+			engines := kernelEngines(quadEngine(t, n, single, device))
 			name := fmt.Sprintf("single=%v/device=%v", single, device)
 			t.Run(name+"/all-european", func(t *testing.T) {
 				opts := withStrikes(90, 100, 110, 120)
@@ -281,71 +304,81 @@ func TestQuadExerciseRetireParity(t *testing.T) {
 					opts[i].Style = option.European
 				}
 				opts[2].Right, opts[3].Right = option.Call, option.Call
-				qp := loadQuad(t, e, opts)
-				if qp.ex != 0 {
-					t.Errorf("bound %d, want 0", qp.ex)
-				}
-				loaded := append([]float64(nil), qp.ladder...)
-				sweepTrace(t, e, qp, opts)
-				for k := range loaded {
-					if math.Float64bits(qp.ladder[k]) != math.Float64bits(loaded[k]) {
-						t.Fatalf("ladder slot %d touched: %v -> %v", k, loaded[k], qp.ladder[k])
+				for _, e := range engines {
+					qp := loadQuad(t, e, opts)
+					if qp.ex != 0 {
+						t.Errorf("bound %d, want 0", qp.ex)
+					}
+					loaded := append([]float64(nil), qp.ladder...)
+					sweepTrace(t, e, qp, opts)
+					for k := range loaded {
+						if math.Float64bits(qp.ladder[k]) != math.Float64bits(loaded[k]) {
+							t.Fatalf("%s: ladder slot %d touched: %v -> %v", kernelName(e), k, loaded[k], qp.ladder[k])
+						}
 					}
 				}
 			})
 			t.Run(name+"/mixed-american-european", func(t *testing.T) {
 				opts := withStrikes(90, 100, 85, 120)
-				qp := loadQuad(t, e, opts)
-				if want := wantExerciseBound(t, e, opts); qp.ex != want || want < 1 || want > n {
-					t.Errorf("bound %d, want %d inside [1, %d]", qp.ex, want, n)
-				}
-				trace := sweepTrace(t, e, qp, opts)
-				if trace[0] != 0 {
-					t.Errorf("root level left bound %d: the out-of-the-money root never retired", trace[0])
+				for _, e := range engines {
+					qp := loadQuad(t, e, opts)
+					if want := wantExerciseBound(t, e, opts); qp.ex != want || want < 1 || want > n {
+						t.Errorf("bound %d, want %d inside [1, %d]", qp.ex, want, n)
+					}
+					trace := sweepTrace(t, e, qp, opts)
+					if trace[0] != 0 {
+						t.Errorf("%s: root level left bound %d: the out-of-the-money root never retired", kernelName(e), trace[0])
+					}
 				}
 			})
 			t.Run(name+"/strike-on-interior-ladder", func(t *testing.T) {
 				const j, m = n/2 - 4, 8
 				opts := withStrikes(100, 80, 95, 70)
-				opts[0].Strike = ladderAt(t, e, opts[0], j, m)
+				opts[0].Strike = ladderAt(t, engines[0], opts[0], j, m)
 				opts[2].Style = option.European
-				qp := loadQuad(t, e, opts)
-				if want := wantExerciseBound(t, e, opts); qp.ex != want {
-					t.Errorf("bound %d, want %d", qp.ex, want)
-				}
-				trace := sweepTrace(t, e, qp, opts)
-				// Column j reaches s == K at level n−m and retires there,
-				// not a level earlier.
-				if got := trace[n-m]; got != j {
-					t.Errorf("bound after level %d is %d, want %d", n-m, got, j)
-				}
-				if got := trace[n-m+1]; got <= j {
-					t.Errorf("bound after level %d is %d: column %d retired before s == K", n-m+1, got, j)
+				for _, e := range engines {
+					qp := loadQuad(t, e, opts)
+					if want := wantExerciseBound(t, e, opts); qp.ex != want {
+						t.Errorf("bound %d, want %d", qp.ex, want)
+					}
+					trace := sweepTrace(t, e, qp, opts)
+					// Column j reaches s == K at level n−m and retires
+					// there, not a level earlier.
+					if got := trace[n-m]; got != j {
+						t.Errorf("%s: bound after level %d is %d, want %d", kernelName(e), n-m, got, j)
+					}
+					if got := trace[n-m+1]; got <= j {
+						t.Errorf("%s: bound after level %d is %d: column %d retired before s == K", kernelName(e), n-m+1, got, j)
+					}
 				}
 			})
 			t.Run(name+"/deep-itm-never-retires", func(t *testing.T) {
 				opts := withStrikes(1e4, 90, 80, 100)
-				qp := loadQuad(t, e, opts)
-				if qp.ex != n+1 {
-					t.Errorf("bound %d, want %d", qp.ex, n+1)
-				}
-				for lv, ex := range sweepTrace(t, e, qp, opts) {
-					if ex != lv+1 {
-						t.Errorf("bound after level %d is %d, want every column live", lv, ex)
+				for _, e := range engines {
+					qp := loadQuad(t, e, opts)
+					if qp.ex != n+1 {
+						t.Errorf("bound %d, want %d", qp.ex, n+1)
+					}
+					for lv, ex := range sweepTrace(t, e, qp, opts) {
+						if ex != lv+1 {
+							t.Errorf("%s: bound after level %d is %d, want every column live", kernelName(e), lv, ex)
+						}
 					}
 				}
 			})
 			t.Run(name+"/jarrow-rudd-d>1", func(t *testing.T) {
-				e := e.WithParameterisation(option.JarrowRudd)
 				opts := withStrikes(101, 102, 103, 105)
 				for i := range opts {
 					opts[i].Rate, opts[i].Sigma, opts[i].T = 0.5, 0.05, 1
 				}
-				qp := loadQuad(t, e, opts)
-				if qp.ex != n+1 || qp.retire {
-					t.Errorf("bound %d retire %v, want %d and no retirement", qp.ex, qp.retire, n+1)
+				for _, e := range engines {
+					e := e.WithParameterisation(option.JarrowRudd)
+					qp := loadQuad(t, e, opts)
+					if qp.ex != n+1 || qp.retire {
+						t.Errorf("bound %d retire %v, want %d and no retirement", qp.ex, qp.retire, n+1)
+					}
+					sweepTrace(t, e, qp, opts)
 				}
-				sweepTrace(t, e, qp, opts)
 			})
 		}
 	}
@@ -358,7 +391,7 @@ func TestQuadExerciseRetireParity(t *testing.T) {
 func TestQuadExerciseBoundShrinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, single := range []bool{false, true} {
-		e := quadEngine(t, 96, single, false)
+		engines := kernelEngines(quadEngine(t, 96, single, false))
 		for q := 0; q < 40; q++ {
 			opts := make([]option.Option, 1+rng.Intn(4))
 			for i := range opts {
@@ -374,7 +407,40 @@ func TestQuadExerciseBoundShrinks(t *testing.T) {
 					opts[i].Right = option.Call
 				}
 			}
-			sweepTrace(t, e, loadQuad(t, e, opts), opts)
+			for _, e := range engines {
+				sweepTrace(t, e, loadQuad(t, e, opts), opts)
+			}
+		}
+	}
+}
+
+// TestQuadAVX2WrapperBounds pins the AVX2 wrapper's bounds checks: a
+// column bound past the plan's buffers, or a negative one, panics in Go
+// before the assembly runs instead of reading or writing out of bounds.
+func TestQuadAVX2WrapperBounds(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("host has no AVX2")
+	}
+	for _, single := range []bool{false, true} {
+		qp := loadQuad(t, quadEngine(t, 16, single, false), quadChain(option.Put, option.American))
+		n := qp.n
+		qp.levelAVX2(n, n) // the widest legal level
+		for _, c := range []struct {
+			name    string
+			ex, col int
+		}{
+			{"full run past the top column", n + 1, n + 1},
+			{"continuation past the top column", 0, n + 1},
+			{"negative continuation start", -1, 4},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("single=%v %s: levelAVX2(%d, %d) did not panic", single, c.name, c.ex, c.col)
+					}
+				}()
+				qp.levelAVX2(c.ex, c.col)
+			}()
 		}
 	}
 }
@@ -569,7 +635,10 @@ func FuzzQuadParity(f *testing.F) {
 	// two-lane partial group, and the exercise-retirement edges of
 	// TestQuadExerciseRetireParity: an all-European quad, a mixed
 	// American/European put quad, a strike on an interior ladder value
-	// and a deep-ITM put that never retires.
+	// and a deep-ITM put that never retires. The last seed is a
+	// Jarrow–Rudd tree whose discounted weights overflow, so two NaNs of
+	// different payloads meet in the continuation sum: it pins the AVX2
+	// kernel's add operand order to the compiled scalar reference's.
 	lp, err := option.NewLatticeParams(withStrikes(100)[0], 32, option.CRR)
 	if err != nil {
 		f.Fatal(err)
@@ -587,6 +656,7 @@ func FuzzQuadParity(f *testing.F) {
 	f.Add(uint8(3), uint8(15), uint8(5), uint8(3), uint8(63), 100.0, 0.03, 0.0, 0.25, 0.5, 90.0, 100.0, 85.0, 120.0)
 	f.Add(uint8(3), uint8(15), uint8(1), uint8(0), uint8(63), 100.0, 0.03, 0.0, 0.25, 0.5, onLadder, 80.0, 95.0, 70.0)
 	f.Add(uint8(3), uint8(15), uint8(5), uint8(1), uint8(63), 100.0, 0.03, 0.0, 0.25, 0.5, 1e4, 90.0, 80.0, 100.0)
+	f.Add(uint8(46), uint8(0x84), uint8(0x0e), uint8(0x14), uint8(12), 20.0, -83.98, 51.40533333333334, 178.3, 433.83333333333337, 0.31746031746031744, 95.0, 165.0, 3808.0)
 	params := []option.Parameterisation{option.CRR, option.JarrowRudd, option.Tian, option.LeisenReimer}
 	f.Fuzz(func(t *testing.T, lanes, rights, styles, cfg, steps uint8, spot, rate, div, sigma, expiry, k0, k1, k2, k3 float64) {
 		e := mustEngine(t, 1+int(steps))
@@ -615,22 +685,24 @@ func FuzzQuadParity(f *testing.F) {
 				valid = false
 			}
 		}
-		qp := e.NewQuadPlan()
-		if err := qp.Load(opts); err != nil || !valid {
-			if (err == nil) != valid {
-				t.Fatalf("load error %v, contracts valid %v", err, valid)
+		for _, ke := range kernelEngines(e) {
+			qp := ke.NewQuadPlan()
+			if err := qp.Load(opts); err != nil || !valid {
+				if (err == nil) != valid {
+					t.Fatalf("load error %v, contracts valid %v", err, valid)
+				}
+				return
 			}
-			return
-		}
-		got := qp.Exec()
-		for i, o := range opts {
-			want, err := e.Price(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Errorf("lane %d %+v: quad %v (%#x) != scalar %v (%#x), bound %d",
-					i, o, got[i], math.Float64bits(got[i]), want, math.Float64bits(want), qp.hi)
+			got := qp.Exec()
+			for i, o := range opts {
+				want, err := e.Price(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Errorf("%s lane %d %+v: quad %v (%#x) != scalar %v (%#x), bound %d",
+						kernelName(ke), i, o, got[i], math.Float64bits(got[i]), want, math.Float64bits(want), qp.hi)
+				}
 			}
 		}
 	})
